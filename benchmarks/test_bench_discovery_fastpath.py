@@ -179,7 +179,6 @@ class LegacyDiscovery:
 def install_resolver(registry: RegistryServer, *, balanced: bool) -> None:
     if balanced:
         service_constraint = ServiceConstraint(registry.clock)
-        registry.store.add_write_listener(service_constraint.on_store_write)
         load_status = LoadStatus(registry.node_state, clock=registry.clock)
         registry.daos.services.set_resolver(
             ConstraintBindingResolver(service_constraint, load_status)

@@ -129,12 +129,12 @@ class LoadBalancer:
 
         registry.daos.services.set_resolver(DefaultBindingResolver())
         self.monitor.stop()
-        registry.store.remove_write_listener(self.service_constraint.on_store_write)
         telemetry = getattr(registry, "telemetry", None)
         if telemetry is not None:
             for source in ("constraint_cache", "collector", "load_status", "transport"):
                 telemetry.unregister_source(source)
             telemetry.unregister_health_check("node_staleness")
+            telemetry.slos.unregister_gauge("node_staleness")
 
 
 def attach_load_balancer(
@@ -159,10 +159,6 @@ def attach_load_balancer(
     if max_sample_age is None:
         max_sample_age = 4.0 * period
     service_constraint = ServiceConstraint(clock)
-    # evict cached constraint parses when a Service is rewritten or deleted
-    # (the cache is content-validated too, so this is eager hygiene, not the
-    # sole correctness mechanism)
-    registry.store.add_write_listener(service_constraint.on_store_write)
     load_status = LoadStatus(
         registry.node_state, clock=clock, max_age=max_sample_age
     )

@@ -70,28 +70,23 @@ class TimeHits:
         #: (heap version, target list) — stamped with the version captured
         #: *before* the scan, so a topology write landing mid-scan leaves a
         #: tuple that fails validation (recompute) instead of a stale cache;
-        #: safe to race with request dispatch (None = dirty)
+        #: safe to race with request dispatch (None = not yet computed)
         self._target_cache: tuple[int, list[str]] | None = None
-        registry.store.add_write_listener(self._on_store_write)
         if self.telemetry is not None:
             self.telemetry.register_health_check("node_staleness", self.staleness_check)
             self.telemetry.slos.register_gauge("node_staleness", self.max_sample_age)
 
     # -- target discovery ----------------------------------------------------
 
-    def _on_store_write(self, type_name: str | None, object_id: str | None) -> None:
-        """Invalidate the target cache when the published topology changes."""
-        if type_name in (None, "Service", "ServiceBinding"):
-            self._target_cache = None
-
     def target_uris(self) -> list[str]:
         """Access URIs of every published NodeStatus deployment.
 
         Reads the *raw* binding list (publisher order, no resolver) — the
         monitor must see every host, including overloaded ones.  The list is
-        cached between sweeps and recomputed only after a Service or
-        ServiceBinding write (a NodeStatus publish/retire), so the 25 s sweep
-        does no registry scan in steady state.
+        cached between sweeps against the store's ``version``, which bumps on
+        every heap write and every rollback, so a NodeStatus publish/retire
+        is seen on the next sweep and a sweep with no writes since the last
+        one does no registry scan.
         """
         cached = self._target_cache
         version = self.registry.store.version

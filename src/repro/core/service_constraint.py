@@ -11,22 +11,25 @@ returns the active :class:`ConstraintSet` only when performance constraints
 exist *and* the time window (if any) contains "now"; otherwise ``None``,
 which tells ServiceDAO to fall back to vanilla behaviour.
 
-Fast path: parses are memoized per service id, keyed on the description
-content (hash + equality), so steady-state discovery does **zero** XML
-parsing.  The cache is self-validating — a republished description never
-serves a stale parse — and :meth:`ServiceConstraint.invalidate` additionally
-hooks into the datastore's write listeners (wired by
-:func:`repro.core.balancer.attach_load_balancer`) so entries for rewritten
-or deleted services are evicted eagerly.
+Fast path: parses are memoized in a bounded LRU keyed on the description
+text, so steady-state discovery does **zero** XML parsing.  Content keys
+need no invalidation — a republished description is a different key and
+never serves a stale parse — and the bound caps memory however many
+descriptions a long-lived instance sees.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.core.constraints import ConstraintSet, parse_constraints
 from repro.rim import Service
 from repro.util.clock import Clock
+
+#: parse-cache bound: distinct description texts kept per instance (well
+#: above the service counts the benches publish, so discovery never evicts)
+PARSE_CACHE_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -53,62 +56,26 @@ class ConstraintCheck:
 class ServiceConstraint:
     """Validates a service's embedded constraints against the current time.
 
-    Thread-safe without locks: cache entries are *self-validating* — each
-    stores the description (hash + text) it was parsed from and a hit
-    requires content equality, so a fill racing an eviction can at worst
-    re-serve a parse of the exact same text or force a re-parse, never a
-    stale answer.  Wholesale eviction swap-publishes a fresh map.  The
-    hit/miss counters are plain ``+=`` (observability, near-exact).
+    Thread-safe without locks: the parse cache is a per-instance
+    ``functools.lru_cache`` over :func:`parse_constraints`, and parsed
+    :class:`ConstraintSet` values are frozen, so one parse is safely shared
+    by every service (and thread) presenting the same description.
     """
 
-    def __init__(self, clock: Clock, *, cache: bool = True) -> None:
+    def __init__(self, clock: Clock) -> None:
         self.clock = clock
-        self.cache_enabled = cache
-        #: service id → (description hash, description, parsed constraints)
-        self._cache: dict[str, tuple[int, str, ConstraintSet | None]] = {}
-        self.cache_hits = 0
-        self.cache_misses = 0
+        self._parse = lru_cache(maxsize=PARSE_CACHE_SIZE)(parse_constraints)
 
     # -- cache ---------------------------------------------------------------
 
     def constraints_of(self, service: Service) -> ConstraintSet | None:
         """The service's parsed constraint block, memoized by content."""
-        if not self.cache_enabled:
-            return parse_constraints(service.description.value)
-        description = service.description.value
-        description_hash = hash(description)
-        cached = self._cache.get(service.id)
-        if (
-            cached is not None
-            and cached[0] == description_hash
-            and cached[1] == description
-        ):
-            self.cache_hits += 1
-            return cached[2]
-        self.cache_misses += 1
-        constraints = parse_constraints(description)
-        self._cache[service.id] = (description_hash, description, constraints)
-        return constraints
+        return self._parse(service.description.value)
 
     def cache_stats(self) -> dict[str, int]:
         """Parse-cache counters (the telemetry surface)."""
-        return {
-            "hits": self.cache_hits,
-            "misses": self.cache_misses,
-            "entries": len(self._cache),
-        }
-
-    def invalidate(self, object_id: str | None = None) -> None:
-        """Drop one service's cached parse (or all, with ``None``)."""
-        if object_id is None:
-            self._cache = {}
-        else:
-            self._cache.pop(object_id, None)
-
-    def on_store_write(self, type_name: str | None, object_id: str | None) -> None:
-        """Datastore write-listener adapter: evict on Service writes/rollback."""
-        if type_name is None or type_name == "Service":
-            self.invalidate(object_id)
+        info = self._parse.cache_info()
+        return {"hits": info.hits, "misses": info.misses, "entries": info.currsize}
 
     # -- validation ----------------------------------------------------------
 

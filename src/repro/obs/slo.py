@@ -193,6 +193,9 @@ class SloEngine:
         """Register the condition callable a ``staleness`` SLO reads."""
         self._gauges[source] = fn
 
+    def unregister_gauge(self, source: str) -> None:
+        self._gauges.pop(source, None)
+
     # -- event intake ----------------------------------------------------------
 
     def record_event(self, source: str, *, ok: bool, latency: float | None = None) -> None:

@@ -23,15 +23,18 @@ views know that entries filled from the transaction's intermediate
 Replay skips barriers: every record that precedes one was itself
 committed, so the log replays to exactly the committed state.
 
-Appends happen only under the store's writer lock; readers slice the
-backing list without locking (list append is atomic under CPython, and
-records are immutable once appended).
+Appends happen only under the store's writer lock and run no foreign
+code; readers slice the backing list without locking (list append is
+atomic under CPython, and records are immutable once appended).  The log
+is pull-only — consumers (views, replication links) compare their own
+watermark against :attr:`ChangeLog.last_seq` and read
+:meth:`ChangeLog.records_since` — so it is the store's single change feed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.persistence.datastore import DataStore
@@ -72,9 +75,6 @@ class ChangeLog:
     def __init__(self) -> None:
         self._records: list[ChangeRecord] = []
         self.resets = 0
-        #: subscription id → listener called with each appended record
-        self._subscribers: dict[int, Callable[[ChangeRecord], None]] = {}
-        self._next_subscription = 1
 
     # -- append (writer-side, under the store's writer lock) -------------------
 
@@ -102,32 +102,7 @@ class ChangeLog:
         self._records.append(record)
         if op == OP_RESET:
             self.resets += 1
-        for listener in list(self._subscribers.values()):
-            listener(record)
         return record
-
-    # -- subscriptions (tail notifications) --------------------------------------
-
-    def subscribe(self, listener: Callable[[ChangeRecord], None]) -> int:
-        """Call *listener* with every record appended from now on.
-
-        Listeners run under the store's writer lock (the append path), so
-        they must be cheap and must never touch another store — a
-        replication consumer should only flag that new records exist and
-        apply them from its own pump loop (see
-        :class:`repro.registry.federation.ReplicationLink`).  Returns a
-        subscription id for :meth:`unsubscribe`.
-        """
-        subscription = self._next_subscription
-        self._next_subscription += 1
-        self._subscribers[subscription] = listener
-        return subscription
-
-    def unsubscribe(self, subscription: int) -> bool:
-        return self._subscribers.pop(subscription, None) is not None
-
-    def subscriber_count(self) -> int:
-        return len(self._subscribers)
 
     # -- reads (lock-free) -----------------------------------------------------
 
@@ -167,7 +142,6 @@ class ChangeLog:
         return {
             "records": len(self._records),
             "resets": self.resets,
-            "subscribers": len(self._subscribers),
         }
 
     # -- replay ----------------------------------------------------------------

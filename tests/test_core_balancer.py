@@ -1,8 +1,11 @@
 """Tests for the constraint-aware binding resolver — the thesis' modification."""
 
+import gc
+import weakref
+
 import pytest
 
-from repro.core import BalanceMode, attach_load_balancer
+from repro.core import DEFAULT_PERIOD, BalanceMode, attach_load_balancer
 from repro.sim import Task
 
 from conftest import HOSTS, publish_nodestatus, publish_service_with_bindings
@@ -162,3 +165,17 @@ class TestAccounting:
         hosts = [u.split("//")[1].split(":")[0] for u in uris]
         assert hosts == HOSTS
         assert not balancer.monitor.running
+
+    def test_detached_monitor_is_collectable(self, sim_registry, admin, transport, engine):
+        publish_nodestatus(sim_registry, admin)
+        monitors = []
+        for _ in range(3):
+            balancer = attach_load_balancer(sim_registry, transport, engine)
+            monitors.append(weakref.ref(balancer.monitor))
+            balancer.detach(sim_registry)
+        del balancer
+        engine.run_until(engine.now + 2 * DEFAULT_PERIOD)  # drains cancelled timers
+        gc.collect()
+        # nothing the registry keeps (store, telemetry, SLO gauges) still
+        # reaches a detached monitor
+        assert [ref() for ref in monitors] == [None, None, None]

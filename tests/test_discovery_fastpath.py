@@ -2,8 +2,9 @@
 
 Covers the invalidation/consistency corners the fast path introduces:
 
-* the constraint cache serves steady-state discovery without re-parsing and
-  picks up a republished description on the very next query;
+* the constraint cache serves steady-state discovery without re-parsing,
+  picks up a republished description on the very next query, matches a
+  direct parse, and stays bounded;
 * the heap's secondary indexes (sorted ids, name index) stay consistent
   across ``DataStore.transaction`` rollback;
 * stale-sample (``max_age``) behaviour is unchanged under the single-
@@ -22,6 +23,7 @@ from repro.core import (
     TimeHits,
     attach_load_balancer,
 )
+import repro.core.service_constraint as constraint_module
 from repro.core.constraints import Operator, parse_constraints
 from repro.persistence import DataStore
 from repro.persistence.nodestate import NodeSample
@@ -67,16 +69,16 @@ class TestConstraintCache:
         for host in HOSTS:
             record(registry, host, 0.5)
         sc = lb.service_constraint
-        baseline_misses = sc.cache_misses
+        baseline_misses = sc.cache_stats()["misses"]
         first = registry.qm.get_access_uris(service.id)
-        assert sc.cache_misses == baseline_misses + 1
+        assert sc.cache_stats()["misses"] == baseline_misses + 1
         # fresh samples force the resolver to re-rank each time, but the
         # description is unchanged: the constraint cache hits, zero re-parses
         for _ in range(10):
             record(registry, HOSTS[0], 0.5)
             assert registry.qm.get_access_uris(service.id) == first
-        assert sc.cache_misses == baseline_misses + 1
-        assert sc.cache_hits >= 10
+        assert sc.cache_stats()["misses"] == baseline_misses + 1
+        assert sc.cache_stats()["hits"] >= 10
 
     def test_republished_constraints_take_effect_next_discovery(self, balanced):
         registry, lb = balanced
@@ -100,28 +102,34 @@ class TestConstraintCache:
         uris = registry.qm.get_access_uris(service.id)
         assert uris[0] == f"http://{HOSTS[0]}:8080/Adder/addService"
         # and the cache actually re-parsed rather than serving the stale entry
-        assert lb.service_constraint.cache_misses >= 2
+        assert lb.service_constraint.cache_stats()["misses"] >= 2
 
     def test_cache_disabled_still_correct(self, clock):
-        from repro.core import ServiceConstraint
-
-        sc = ServiceConstraint(clock, cache=False)
-        svc = Service(ids.new_id(), name="S", description=CONSTRAINT_LS)
-        assert sc.check(svc).active
-        assert sc.cache_hits == 0 and sc.cache_misses == 0
-
-    def test_invalidate_scoped_to_service_writes(self, clock):
-        from repro.core import ServiceConstraint
-
+        # the uncached reference path is a direct parse_constraints call:
+        # cached answers (first parse and repeat hits) must match it
         sc = ServiceConstraint(clock)
-        svc = Service(ids.new_id(), name="S", description=CONSTRAINT_LS)
-        sc.check(svc)
-        sc.on_store_write("Organization", "urn:uuid:whatever")
-        sc.check(svc)
-        assert sc.cache_misses == 1  # Organization writes don't evict
-        sc.on_store_write("Service", svc.id)
-        sc.check(svc)
-        assert sc.cache_misses == 2
+        descriptions = [
+            CONSTRAINT_LS,
+            CONSTRAINT_GR,
+            "plain text, no constraint block",
+            "<constraint><cpuLoad>load ls</cpuLoad></constraint>",  # malformed
+            "",
+        ]
+        for _ in range(2):
+            for description in descriptions:
+                svc = Service(ids.new_id(), name="S", description=description)
+                assert sc.constraints_of(svc) == parse_constraints(description)
+        assert sc.cache_stats()["hits"] == len(descriptions)
+
+    def test_parse_cache_is_bounded(self, clock):
+        bound = constraint_module.PARSE_CACHE_SIZE
+        sc = ServiceConstraint(clock)
+        for n in range(bound + 10):
+            description = f"<constraint><cpuLoad>load ls {n}</cpuLoad></constraint>"
+            sc.check(Service(ids.new_id(), name=f"S{n}", description=description))
+        stats = sc.cache_stats()
+        assert stats["misses"] == bound + 10
+        assert stats["entries"] <= bound
 
 
 def balanced_manual_registry(description=CONSTRAINT_LS, *, max_age=None):
@@ -129,7 +137,6 @@ def balanced_manual_registry(description=CONSTRAINT_LS, *, max_age=None):
     clock = ManualClock(start=11 * 3600.0)  # 11:00
     registry = RegistryServer(RegistryConfig(seed=7), clock=clock)
     service_constraint = ServiceConstraint(clock)
-    registry.store.add_write_listener(service_constraint.on_store_write)
     load_status = LoadStatus(registry.node_state, clock=clock, max_age=max_age)
     resolver = ConstraintBindingResolver(service_constraint, load_status)
     registry.daos.services.set_resolver(resolver)
@@ -368,16 +375,21 @@ class TestMonitorTargetCache:
         admin = sim_registry.login(cred)
         publish_nodestatus(sim_registry, admin)
         monitor = TimeHits(sim_registry, transport, engine)
-        monitor.target_uris()
+        targets = monitor.target_uris()
         assert monitor._target_cache is not None
         sim_registry.lcm.submit_objects(
             admin, [Organization(sim_registry.ids.new_id(), name="Unrelated")]
         )
         assert monitor._target_cache is not None
+        assert monitor.target_uris() == targets
         with pytest.raises(RuntimeError):
             with sim_registry.store.transaction():
                 raise RuntimeError("boom")
-        assert monitor._target_cache is None
+        # the rollback bumps the store version the cached list is stamped
+        # with, so the entry fails validation and the next call rescans
+        assert monitor._target_cache[0] != sim_registry.store.version
+        assert monitor.target_uris() == targets
+        assert monitor._target_cache[0] == sim_registry.store.version
 
 
 class TestWindowing:
