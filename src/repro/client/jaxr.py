@@ -44,7 +44,7 @@ from repro.soap.messages import (
 )
 from repro.soap.serializer import deserialize, serialize
 from repro.soap.transport import SimTransport
-from repro.util.errors import AuthenticationError, RegistryError
+from repro.util.errors import AuthenticationError, InvalidRequestError, RegistryError
 
 
 def _local_authenticate(ctx: RequestContext, spec: OperationSpec):
@@ -90,8 +90,15 @@ class ConnectionFactory:
                 from repro.soap.xml_binding import envelope_from_xml, envelope_to_xml
 
                 def xml_endpoint(wire_text: str) -> str:
-                    envelope = envelope_from_xml(wire_text)
-                    response = self.binding.handle(envelope)
+                    try:
+                        envelope = envelope_from_xml(wire_text)
+                    except InvalidRequestError as exc:
+                        # a document the codec cannot read never reaches the
+                        # kernel; answer it with a fault like any other
+                        # rejected request, for the client to re-raise
+                        response = SoapFault.from_error(exc)
+                    else:
+                        response = self.binding.handle(envelope)
                     return envelope_to_xml(SoapEnvelope(body=response))
 
                 self.transport.register_endpoint(self.binding.endpoint_uri, xml_endpoint)

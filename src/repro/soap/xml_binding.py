@@ -4,13 +4,22 @@ The in-memory envelopes move structured dicts; this module renders them as
 actual ``<soap:Envelope>`` documents and parses them back, so a wire capture
 of the simulated traffic looks like what freebXML's SAAJ layer produced.
 Round-tripping is exact for every protocol message type.
+
+The encoder writes the document text directly: each message is read
+shallowly through its class's field-name tuple (built once from
+:data:`_MESSAGE_TYPES`) and its payload becomes canonical JSON inside the
+message element. The text is byte-for-byte what ElementTree serializes for
+the same tree — prefixes ``ns0`` (SOAP) and ``ns1`` (ebRS, declared only
+when used), ``<ns0:Header />`` when there are no headers, and ElementTree's
+text/attribute escaping. The decoder parses with ElementTree and checks
+payload keys against the same field tables, so a malformed message raises
+:class:`InvalidRequestError` naming its element.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
-import xml.etree.ElementTree as ET
-from typing import Any
 
 from repro.soap.envelope import SoapEnvelope, SoapFault
 from repro.soap.messages import (
@@ -52,41 +61,102 @@ _MESSAGE_TYPES = {
     )
 }
 
+#: message class → its field names, in declaration order
+_FIELDS = {
+    cls: tuple(f.name for f in dataclasses.fields(cls))
+    for cls in _MESSAGE_TYPES.values()
+}
 
-def _payload_of(message: Any) -> dict:
-    """Dataclass fields as a JSON-safe dict."""
-    import dataclasses
+#: message class → the fields a payload must carry (those without a default)
+_REQUIRED = {
+    cls: frozenset(
+        f.name
+        for f in dataclasses.fields(cls)
+        if f.default is dataclasses.MISSING
+        and f.default_factory is dataclasses.MISSING
+    )
+    for cls in _MESSAGE_TYPES.values()
+}
 
-    return dataclasses.asdict(message)
+#: the payload codec: ``json.dumps(..., sort_keys=True)`` without the
+#: per-call encoder construction
+_encode_json = json.JSONEncoder(sort_keys=True).encode
+
+#: the envelope's open tag without and with the ebRS namespace, which
+#: ElementTree declares only when a header entry or message element uses it
+_OPEN_SOAP_ONLY = f'<ns0:Envelope xmlns:ns0="{SOAP_NS}">'
+_OPEN_WITH_RS = f'<ns0:Envelope xmlns:ns0="{SOAP_NS}" xmlns:ns1="{RS_NS}">'
+
+
+def _escape_text(text: str) -> str:
+    """Escape character data the way ElementTree does."""
+    if "&" in text:
+        text = text.replace("&", "&amp;")
+    if "<" in text:
+        text = text.replace("<", "&lt;")
+    if ">" in text:
+        text = text.replace(">", "&gt;")
+    return text
+
+
+def _escape_attribute(text: str) -> str:
+    """Escape an attribute value the way ElementTree does."""
+    text = _escape_text(text)
+    if '"' in text:
+        text = text.replace('"', "&quot;")
+    if "\r" in text:
+        text = text.replace("\r", "&#13;")
+    if "\n" in text:
+        text = text.replace("\n", "&#10;")
+    if "\t" in text:
+        text = text.replace("\t", "&#09;")
+    return text
+
+
+def _element(tag: str, text: str | None, attributes: str = "") -> str:
+    """One text-only element; empty text renders self-closing, as ElementTree does."""
+    if text:
+        return f"<{tag}{attributes}>{_escape_text(text)}</{tag}>"
+    return f"<{tag}{attributes} />"
 
 
 def envelope_to_xml(envelope: SoapEnvelope) -> str:
     """Render an envelope as a SOAP 1.1 document."""
-    body_message = envelope.body
-    type_name = type(body_message).__name__
-    if type_name not in _MESSAGE_TYPES and not isinstance(body_message, SoapFault):
-        raise InvalidRequestError(
-            f"cannot render body of type {type_name!r} as SOAP XML"
+    body = envelope.body
+    headers = envelope.headers
+    if isinstance(body, SoapFault):
+        opening = _OPEN_WITH_RS if headers else _OPEN_SOAP_ONLY
+        body_xml = (
+            "<ns0:Fault>"
+            + _element("faultcode", body.fault_code)
+            + _element("faultstring", body.fault_string)
+            + (_element("detail", body.detail) if body.detail else "")
+            + "</ns0:Fault>"
         )
-    root = ET.Element(f"{{{SOAP_NS}}}Envelope")
-    header = ET.SubElement(root, f"{{{SOAP_NS}}}Header")
-    for key, value in sorted(envelope.headers.items()):
-        entry = ET.SubElement(header, f"{{{RS_NS}}}HeaderEntry")
-        entry.set("name", key)
-        entry.text = value
-    body = ET.SubElement(root, f"{{{SOAP_NS}}}Body")
-    if isinstance(body_message, SoapFault):
-        fault = ET.SubElement(body, f"{{{SOAP_NS}}}Fault")
-        ET.SubElement(fault, "faultcode").text = body_message.fault_code
-        ET.SubElement(fault, "faultstring").text = body_message.fault_string
-        if body_message.detail:
-            ET.SubElement(fault, "detail").text = body_message.detail
     else:
-        message_el = ET.SubElement(body, f"{{{RS_NS}}}{type_name}")
+        names = _FIELDS.get(type(body))
+        if names is None:
+            raise InvalidRequestError(
+                f"cannot render body of type {type(body).__name__!r} as SOAP XML"
+            )
+        opening = _OPEN_WITH_RS
         # the structured payload travels as canonical JSON inside the
         # message element — the registry protocol's "attachment"
-        message_el.text = json.dumps(_payload_of(body_message), sort_keys=True)
-    return ET.tostring(root, encoding="unicode")
+        tag = "ns1:" + type(body).__name__
+        payload = _encode_json({name: getattr(body, name) for name in names})
+        body_xml = f"<{tag}>{_escape_text(payload)}</{tag}>"
+    if headers:
+        header_xml = (
+            "<ns0:Header>"
+            + "".join(
+                _element("ns1:HeaderEntry", headers[key], f' name="{_escape_attribute(key)}"')
+                for key in sorted(headers)
+            )
+            + "</ns0:Header>"
+        )
+    else:
+        header_xml = "<ns0:Header />"
+    return f"{opening}{header_xml}<ns0:Body>{body_xml}</ns0:Body></ns0:Envelope>"
 
 
 def envelope_from_xml(text: str) -> SoapEnvelope:
@@ -116,5 +186,20 @@ def envelope_from_xml(text: str) -> SoapEnvelope:
     message_cls = _MESSAGE_TYPES.get(local)
     if message_cls is None:
         raise InvalidRequestError(f"unknown SOAP body element: {local!r}")
-    payload = json.loads(child.text or "{}")
+    try:
+        payload = json.loads(child.text or "{}")
+    except ValueError as exc:
+        raise InvalidRequestError(f"malformed JSON payload in <{local}>: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise InvalidRequestError(f"payload of <{local}> is not a JSON object")
+    unknown = payload.keys() - _FIELDS[message_cls]
+    if unknown:
+        raise InvalidRequestError(
+            f"unknown field(s) {sorted(unknown)} in <{local}>"
+        )
+    missing = _REQUIRED[message_cls] - payload.keys()
+    if missing:
+        raise InvalidRequestError(
+            f"missing required field(s) {sorted(missing)} in <{local}>"
+        )
     return SoapEnvelope(body=message_cls(**payload), headers=headers)
